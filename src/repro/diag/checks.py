@@ -291,6 +291,12 @@ def check_reachability(result, proc: str) -> List[Finding]:
     if detail is None or not hasattr(detail, "reached_blocks"):
         return []
     cfg: CFG = detail.build.cfg
+    current = result.program.procedure_map().get(proc)
+    if current is not None and detail.build.proc is not current:
+        # The solution was reused from an equal-text copy of the procedure
+        # at another place (a session's clean copy or a cache hit): same
+        # blocks, old positions.  Positions come from the current text.
+        cfg = build_cfg(current, result.symbols[proc]).cfg
     reached: Set[int] = detail.reached_blocks
     edges = detail.executable_edges
     rule = RULES["ICP004"]

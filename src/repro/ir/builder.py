@@ -41,6 +41,8 @@ class CFGBuildResult:
     )
     #: Call sites in source (pre-order) order, matching ProcedureSymbols.
     call_sites: List[CallSite] = field(default_factory=list)
+    #: The procedure lowered; its statements carry the CFG's positions.
+    proc: Optional[ast.Procedure] = None
 
 
 def build_cfg(proc: ast.Procedure, symbols: ProcedureSymbols) -> CFGBuildResult:
@@ -55,7 +57,7 @@ class _Builder:
         self._site_of_stmt: Dict[int, CallSite] = {
             id(site.stmt): site for site in symbols.call_sites
         }
-        self._result = CFGBuildResult(cfg=CFG(proc.name))
+        self._result = CFGBuildResult(cfg=CFG(proc.name), proc=proc)
         self._cfg = self._result.cfg
         self._current: Optional[int] = self._cfg.entry_id
 

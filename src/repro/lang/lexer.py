@@ -49,11 +49,13 @@ _ONE_CHAR_OPS = {
 class Lexer:
     """Converts MiniF source text into a stream of :class:`Token` objects."""
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, start: SourcePos = SourcePos(1, 1)):
+        """``start`` is the position of ``source[0]``: a fragment cut from
+        a larger text lexes with the positions it has in that text."""
         self._source = source
         self._index = 0
-        self._line = 1
-        self._column = 1
+        self._line = start.line
+        self._column = start.column
         #: ``(line, text)`` of every ``#`` comment, in source order; the
         #: diagnostics suppression scan reads ``noqa`` directives from here.
         self.comments: List[tuple] = []
@@ -164,9 +166,9 @@ class Lexer:
         return Token(TokenKind.IDENT, word, pos)
 
 
-def tokenize(source: str) -> List[Token]:
+def tokenize(source: str, start: SourcePos = SourcePos(1, 1)) -> List[Token]:
     """Lex ``source`` into a list of tokens (ending with EOF)."""
-    return list(Lexer(source).tokens())
+    return list(Lexer(source, start).tokens())
 
 
 def scan_comments(source: str) -> List[tuple]:

@@ -11,9 +11,10 @@ is a parse error), matching Fortran relational expressions.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ParseError
+from repro.errors import FrontendError, ParseError, SourcePos
 from repro.lang import ast
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenKind
@@ -355,6 +356,101 @@ def parse_program(source: str) -> ast.Program:
     """Lex and parse ``source`` into a :class:`repro.lang.ast.Program`."""
     parser = Parser(tokenize(source))
     return parser.parse_program()
+
+
+#: Everything the procedure split must see: whole comments (so braces and
+#: ``proc`` inside them are skipped), braces, and the ``proc`` keyword.
+_SPLIT_SCAN = re.compile(r"#[^\n]*|[{}]|\bproc\b")
+
+#: ``(segment text, start line, start column)``: what fixes a procedure's
+#: tokens, and so its AST and every position in it.
+SegmentKey = Tuple[str, int, int]
+
+
+def _top_level_procs(source: str) -> Optional[List[int]]:
+    """Offsets of the ``proc`` keywords at brace depth 0, or None when the
+    braces do not balance."""
+    starts: List[int] = []
+    depth = 0
+    for match in _SPLIT_SCAN.finditer(source):
+        char = match.group()[0]
+        if char == "{":
+            depth += 1
+        elif char == "}":
+            depth -= 1
+            if depth < 0:
+                return None
+        elif char == "p" and depth == 0:
+            starts.append(match.start())
+    return starts if depth == 0 else None
+
+
+class IncrementalParser:
+    """Parses successive versions of one program, re-parsing only the
+    procedures whose text or start position changed.
+
+    The source is cut at every top-level ``proc`` into a header (globals and
+    init blocks) and one segment per procedure, running to the next
+    procedure.  A segment whose text and start position match a segment of
+    the previous parse reuses that :class:`ast.Procedure` object; every
+    other segment is lexed from its own start position.  Whatever the split
+    cannot vouch for -- a lex or parse error, unbalanced braces, a header
+    holding a procedure, a segment that is not exactly one procedure --
+    falls back to :func:`parse_program` over the whole text, so the result
+    and any error are always those of a full parse.
+    """
+
+    def __init__(self) -> None:
+        self._segments: Dict[SegmentKey, ast.Procedure] = {}
+        #: Procedures the last :meth:`parse` parsed rather than reused.
+        self.parsed = 0
+
+    def parse(self, source: str) -> ast.Program:
+        try:
+            split = self._parse_segments(source)
+        except (FrontendError, ValueError, RecursionError):
+            # The full parse below raises the error the whole text has.
+            split = None
+        if split is None:
+            program = parse_program(source)
+            self._segments = {}
+            self.parsed = len(program.procedures)
+            return program
+        program, self._segments, self.parsed = split
+        return program
+
+    def _parse_segments(
+        self, source: str
+    ) -> Optional[Tuple[ast.Program, Dict[SegmentKey, ast.Procedure], int]]:
+        starts = _top_level_procs(source)
+        if starts is None:
+            return None
+        header = Parser(tokenize(source[: starts[0]] if starts else source))
+        program = header.parse_program()
+        if program.procedures:
+            return None
+        previous = self._segments
+        segments: Dict[SegmentKey, ast.Procedure] = {}
+        parsed = 0
+        line, line_start, scanned = 1, 0, 0
+        for start, end in zip(starts, starts[1:] + [len(source)]):
+            newlines = source.count("\n", scanned, start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", scanned, start) + 1
+            scanned = start
+            key = (source[start:end], line, start - line_start + 1)
+            proc = previous.get(key)
+            if proc is None:
+                tokens = tokenize(key[0], SourcePos(key[1], key[2]))
+                piece = Parser(tokens).parse_program()
+                if piece.global_names or piece.inits or len(piece.procedures) != 1:
+                    return None
+                proc = piece.procedures[0]
+                parsed += 1
+            segments[key] = proc
+            program.procedures.append(proc)
+        return program, segments, parsed
 
 
 def parse_expression(source: str) -> ast.Expr:

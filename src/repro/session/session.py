@@ -40,7 +40,7 @@ from repro.core.flow_sensitive import (
 )
 from repro.core.returns import ReturnsResult, compute_returns
 from repro.lang import ast
-from repro.lang.parser import parse_program
+from repro.lang.parser import IncrementalParser, parse_program
 from repro.lang.symbols import collect_symbols
 from repro.lang.validate import validate_program
 from repro.obs import NULL_OBS, Observability
@@ -74,6 +74,9 @@ class SessionStats:
     total_engine_runs: int = 0
     #: Clean-region copies across the session's lifetime.
     total_reused: int = 0
+    #: Procedures the last constructor or :meth:`AnalysisSession.sync` call
+    #: parsed rather than reused from the previous text (0 for an AST).
+    last_parsed: int = 0
 
     @property
     def reuse_rate(self) -> float:
@@ -135,10 +138,9 @@ class AnalysisSession:
         if cache is None:
             cache = cache_from_config(self.config, obs=self.obs)
         self.cache = cache
-        self.program = (
-            parse_program(source) if isinstance(source, str) else source
-        )
         self.stats = SessionStats()
+        self._parser = IncrementalParser()
+        self.program = self._parse(source)
         #: The last completed analysis (None before the first analyze()).
         self.result: Optional[PipelineResult] = None
         #: The dirty region of the last incremental analysis (None for cold).
@@ -147,13 +149,26 @@ class AnalysisSession:
         self._full_dirty = True
         self._prev_inputs = None  # (pcg, aliases, modref, fi) of last analyze
         #: Diagnostics cache: (result the findings were computed against,
-        #: per-procedure finding lists).  Invalidated per procedure by
-        #: comparing pipeline artifacts, not by re-running checks.
+        #: per-procedure finding lists, the procedure objects they read).
+        #: Invalidated per procedure by comparing pipeline artifacts and
+        #: AST identities, not by re-running checks.
         self._diag_cache = None
 
     # ------------------------------------------------------------------
     # Edits.
     # ------------------------------------------------------------------
+
+    def _parse(self, source: Union[str, ast.Program]) -> ast.Program:
+        """Parse whole-program text, reusing the procedures of the last."""
+        if isinstance(source, str):
+            program = self._parser.parse(source)
+            self.stats.last_parsed = self._parser.parsed
+        else:
+            program = source
+            self.stats.last_parsed = 0
+        if self.obs.metrics.enabled:
+            self.obs.metrics.gauge("session.parsed").set(self.stats.last_parsed)
+        return program
 
     def _proc_index(self, name: str) -> int:
         for index, proc in enumerate(self.program.procedures):
@@ -213,16 +228,15 @@ class AnalysisSession:
         canonical fingerprint) stay clean; changed/added/removed ones are
         marked edited.  A change to globals or init blocks invalidates
         everything.  Returns the number of procedures marked edited.
+
+        Text is reparsed only where a procedure's text or start position
+        changed; the other procedures keep their AST objects.  A procedure
+        that only moved is not an edit, but gets fresh positions.
         """
-        new_program = (
-            parse_program(source) if isinstance(source, str) else source
-        )
-        old_inits = [(e.name, e.value) for e in self.program.inits]
-        new_inits = [(e.name, e.value) for e in new_program.inits]
-        if (
-            list(self.program.global_names) != list(new_program.global_names)
-            or old_inits != new_inits
-        ):
+        new_program = self._parse(source)
+        if list(self.program.global_names) != list(
+            new_program.global_names
+        ) or _init_values(self.program) != _init_values(new_program):
             self.program = new_program
             self._full_dirty = True
             self._edited.clear()
@@ -234,12 +248,19 @@ class AnalysisSession:
         changed: Set[str] = set()
         for name, proc in new_procs.items():
             old = old_procs.get(name)
-            if old is None or procedure_fingerprint(old) != procedure_fingerprint(proc):
+            if old is None or (
+                old is not proc
+                and procedure_fingerprint(old) != procedure_fingerprint(proc)
+            ):
                 changed.add(name)
         removed = set(old_procs) - set(new_procs)
         if removed:
             self.cache.evict_procs(removed)
         changed |= removed
+        if not changed and _same_layout(self.program, new_program):
+            # Same text at the same places: keep the analyzed program, so
+            # reads after a no-op resubmission need no re-analysis.
+            return 0
         self.program = new_program
         if changed:
             self._edited |= changed
@@ -435,10 +456,12 @@ class AnalysisSession:
     # Diagnostics.
     # ------------------------------------------------------------------
 
-    def _diag_stale_procs(self, prev, prev_table, result) -> Set[str]:
+    def _diag_stale_procs(self, prev, prev_table, prev_procs, result) -> Set[str]:
         """Procedures whose cached per-procedure findings may be wrong.
 
-        A procedure's findings depend on its own flow-sensitive result
+        A procedure's findings carry its positions, so a procedure whose
+        AST object changed (an edit, or text above it that moved it) is
+        stale.  They also depend on its own flow-sensitive result
         (compared by object identity — the clean-copy path preserves it),
         its own alias pairs, and each callee's formals/MOD/REF/USE rows
         (USE changes do not dirty the FS region, so identity alone is not
@@ -447,8 +470,9 @@ class AnalysisSession:
         intra objects, so they need no separate handling here.
         """
         stale: Set[str] = set()
+        procs = result.program.procedure_map()
         for proc in result.pcg.nodes:
-            if proc not in prev_table:
+            if proc not in prev_table or procs.get(proc) is not prev_procs.get(proc):
                 stale.add(proc)
                 continue
             if prev.fs.intra.get(proc) is not result.fs.intra.get(proc):
@@ -490,7 +514,12 @@ class AnalysisSession:
             run_diagnostics,
         )
 
-        if self.result is None or self._edited or self._full_dirty:
+        if (
+            self.result is None
+            or self._edited
+            or self._full_dirty
+            or self.program is not self.result.program
+        ):
             self.analyze()
         result = self.result
         cached = self._diag_cache
@@ -499,14 +528,12 @@ class AnalysisSession:
             recomputed: Set[str] = set()
         else:
             if cached is None:
-                prev_result, prev_table = None, {}
-            else:
-                prev_result, prev_table = cached
-            if prev_result is None:
                 recomputed = set(result.pcg.nodes)
+                prev_table = {}
             else:
+                prev_result, prev_table, prev_procs = cached
                 recomputed = self._diag_stale_procs(
-                    prev_result, prev_table, result
+                    prev_result, prev_table, prev_procs, result
                 )
             fresh = procedure_findings(
                 result, procs=sorted(recomputed), obs=self.obs
@@ -515,7 +542,9 @@ class AnalysisSession:
                 proc: fresh[proc] if proc in fresh else prev_table[proc]
                 for proc in result.pcg.nodes
             }
-            self._diag_cache = (result, per_proc)
+            self._diag_cache = (
+                result, per_proc, result.program.procedure_map()
+            )
 
         metrics = self.obs.metrics
         if metrics.enabled:
@@ -530,6 +559,24 @@ class AnalysisSession:
         return run_diagnostics(
             result, options, obs=self.obs, proc_findings=per_proc
         )
+
+
+def _init_values(program: ast.Program):
+    # repr keeps 2 and 2.0 (and 0.0 and -0.0) apart, as the lattice does.
+    return [(entry.name, repr(entry.value)) for entry in program.inits]
+
+
+def _same_layout(old: ast.Program, new: ast.Program) -> bool:
+    """Do two equal programs also agree on every position?
+
+    Reused procedures are the same objects, so identity stands in for
+    comparing their positions.
+    """
+    return (
+        [entry.pos for entry in old.inits] == [entry.pos for entry in new.inits]
+        and len(old.procedures) == len(new.procedures)
+        and all(a is b for a, b in zip(old.procedures, new.procedures))
+    )
 
 
 def _tables_complete(proc, fs_prev: FSResult, symbols, pcg, modref, program) -> bool:
