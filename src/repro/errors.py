@@ -6,12 +6,15 @@ downstream user can catch one type.  Frontend errors carry a source position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourcePos:
-    """A position in MiniF source text (1-based line and column)."""
+class SourcePos(NamedTuple):
+    """A position in MiniF source text (1-based line and column).
+
+    A named tuple, so that the lexer can build one per token cheaply; it
+    also compares equal to the plain tuple ``(line, column)``.
+    """
 
     line: int
     column: int

@@ -7,6 +7,11 @@ from ``x = f + ...`` (an ordinary assignment).
 Precedence (loosest to tightest): ``or`` < ``and`` < ``not`` < comparisons
 < ``+ -`` < ``* / %`` < unary ``-``.  Comparisons do not chain (``a < b < c``
 is a parse error), matching Fortran relational expressions.
+
+Blocks, ``if``/``while`` bodies, parentheses, subscripts, unary ``-`` and
+``not`` nest at most :data:`MAX_NESTING` levels deep (a procedure body is
+level 0); deeper input raises :class:`ParseError` at the opening token
+instead of exhausting the interpreter's stack here or in a later AST walk.
 """
 
 from __future__ import annotations
@@ -19,17 +24,17 @@ from repro.lang import ast
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenKind
 
-_COMPARISON_OPS = {
-    TokenKind.EQ: "==",
-    TokenKind.NE: "!=",
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GE: ">=",
-}
+#: Binary operators of one precedence level, keyed by the token's value.
+#: An operator token's value is its spelling, and no other token's value
+#: is an operator spelling, so one lookup classifies a token (a lookup by
+#: ``TokenKind`` would hash an enum member, a Python-level call).
+_COMPARISON_OPS = {op: op for op in ("==", "!=", "<", "<=", ">", ">=")}
+_ADDITIVE_OPS = {"+": "+", "-": "-"}
+_MULTIPLICATIVE_OPS = {"*": "*", "/": "/", "%": "%"}
 
-_ADDITIVE_OPS = {TokenKind.PLUS: "+", TokenKind.MINUS: "-"}
-_MULTIPLICATIVE_OPS = {TokenKind.STAR: "*", TokenKind.SLASH: "/", TokenKind.PERCENT: "%"}
+#: Deepest accepted nesting of blocks, bodies, parentheses, subscripts and
+#: unary operators.
+MAX_NESTING = 64
 
 
 class Parser:
@@ -38,14 +43,16 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
-    # Token stream helpers.
+    # Token stream helpers.  The list always ends with EOF and the index
+    # never moves past it (``_match``/``_expect`` are never asked for EOF),
+    # so the current token is ``_tokens[_index]``.
     # ------------------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._index]
 
     def _advance(self) -> Token:
         token = self._tokens[self._index]
@@ -54,21 +61,34 @@ class Parser:
         return token
 
     def _check(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._index].kind is kind
 
     def _match(self, kind: TokenKind) -> Optional[Token]:
-        if self._check(kind):
-            return self._advance()
+        token = self._tokens[self._index]
+        if token.kind is kind:
+            self._index += 1
+            return token
         return None
 
     def _expect(self, kind: TokenKind, context: str) -> Token:
-        token = self._peek()
+        token = self._tokens[self._index]
         if token.kind is not kind:
             raise ParseError(
                 f"expected {kind.value!r} {context}, found {token.kind.value!r}",
                 token.pos,
             )
-        return self._advance()
+        self._index += 1
+        return token
+
+    def _enter(self, token: Token) -> None:
+        """One nesting level deeper, opened by ``token``; :meth:`_leave`
+        closes it.  An error abandons the parse, so it needs no unwinding."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", token.pos)
+
+    def _leave(self) -> None:
+        self._depth -= 1
 
     # ------------------------------------------------------------------
     # Top level.
@@ -157,7 +177,10 @@ class Parser:
     def _parse_statement(self) -> ast.Stmt:
         token = self._peek()
         if token.kind is TokenKind.LBRACE:
-            return self._parse_block()
+            self._enter(token)
+            block = self._parse_block()
+            self._leave()
+            return block
         if token.kind is TokenKind.IF:
             return self._parse_if()
         if token.kind is TokenKind.WHILE:
@@ -177,10 +200,10 @@ class Parser:
         self._expect(TokenKind.LPAREN, "after 'if'")
         cond = self._parse_expression()
         self._expect(TokenKind.RPAREN, "after if condition")
-        then_block = self._as_block(self._parse_statement())
+        then_block = self._parse_body()
         else_block: Optional[ast.Block] = None
         if self._match(TokenKind.ELSE):
-            else_block = self._as_block(self._parse_statement())
+            else_block = self._parse_body()
         return ast.If(cond, then_block, else_block, if_tok.pos)
 
     def _parse_while(self) -> ast.While:
@@ -188,14 +211,20 @@ class Parser:
         self._expect(TokenKind.LPAREN, "after 'while'")
         cond = self._parse_expression()
         self._expect(TokenKind.RPAREN, "after while condition")
-        body = self._as_block(self._parse_statement())
+        body = self._parse_body()
         return ast.While(cond, body, while_tok.pos)
 
-    @staticmethod
-    def _as_block(stmt: ast.Stmt) -> ast.Block:
-        if isinstance(stmt, ast.Block):
-            return stmt
-        return ast.Block([stmt], getattr(stmt, "pos", None))
+    def _parse_body(self) -> ast.Block:
+        """An ``if``/``while`` body, braced or not: one nesting level."""
+        token = self._peek()
+        self._enter(token)
+        if token.kind is TokenKind.LBRACE:
+            body = self._parse_block()
+        else:
+            stmt = self._parse_statement()
+            body = ast.Block([stmt], getattr(stmt, "pos", None))
+        self._leave()
+        return body
 
     def _parse_call_stmt(self) -> ast.CallStmt:
         call_tok = self._advance()
@@ -224,16 +253,21 @@ class Parser:
         target_tok = self._advance()
         target = str(target_tok.value)
         if self._check(TokenKind.LBRACKET):
-            self._advance()
+            self._enter(self._advance())
             index = self._parse_expression()
             self._expect(TokenKind.RBRACKET, "to close array subscript")
+            self._leave()
             self._expect(TokenKind.ASSIGN, "in array element assignment")
             expr = self._parse_expression()
             self._expect(TokenKind.SEMI, "after assignment")
             return ast.AssignIndex(target, index, expr, target_tok.pos)
         self._expect(TokenKind.ASSIGN, "in assignment")
         # Two-token lookahead: `x = f(` starts a call-assignment.
-        if self._check(TokenKind.IDENT) and self._peek(1).kind is TokenKind.LPAREN:
+        # The current token is not EOF, so the next one exists.
+        if (
+            self._check(TokenKind.IDENT)
+            and self._tokens[self._index + 1].kind is TokenKind.LPAREN
+        ):
             callee = str(self._advance().value)
             args = self._parse_argument_list()
             self._expect(
@@ -283,55 +317,60 @@ class Parser:
     def _parse_not(self) -> ast.Expr:
         not_tok = self._match(TokenKind.NOT)
         if not_tok is not None:
+            self._enter(not_tok)
             operand = self._parse_not()
+            self._leave()
             return ast.Unary("not", operand, not_tok.pos)
         return self._parse_comparison()
 
     def _parse_comparison(self) -> ast.Expr:
         left = self._parse_additive()
-        kind = self._peek().kind
-        if kind in _COMPARISON_OPS:
-            op_tok = self._advance()
-            right = self._parse_additive()
-            result = ast.Binary(_COMPARISON_OPS[kind], left, right, op_tok.pos)
-            if self._peek().kind in _COMPARISON_OPS:
-                raise ParseError("comparisons do not chain", self._peek().pos)
-            return result
-        return left
+        op_tok = self._tokens[self._index]
+        op = _COMPARISON_OPS.get(op_tok.value)
+        if op is None:
+            return left
+        self._index += 1
+        right = self._parse_additive()
+        token = self._tokens[self._index]
+        if token.value in _COMPARISON_OPS:
+            raise ParseError("comparisons do not chain", token.pos)
+        return ast.Binary(op, left, right, op_tok.pos)
 
     def _parse_additive(self) -> ast.Expr:
         left = self._parse_multiplicative()
-        while self._peek().kind in _ADDITIVE_OPS:
-            op_tok = self._advance()
+        while True:
+            op_tok = self._tokens[self._index]
+            op = _ADDITIVE_OPS.get(op_tok.value)
+            if op is None:
+                return left
+            self._index += 1
             right = self._parse_multiplicative()
-            left = ast.Binary(_ADDITIVE_OPS[op_tok.kind], left, right, op_tok.pos)
-        return left
+            left = ast.Binary(op, left, right, op_tok.pos)
 
     def _parse_multiplicative(self) -> ast.Expr:
         left = self._parse_unary()
-        while self._peek().kind in _MULTIPLICATIVE_OPS:
-            op_tok = self._advance()
+        while True:
+            op_tok = self._tokens[self._index]
+            op = _MULTIPLICATIVE_OPS.get(op_tok.value)
+            if op is None:
+                return left
+            self._index += 1
             right = self._parse_unary()
-            left = ast.Binary(_MULTIPLICATIVE_OPS[op_tok.kind], left, right, op_tok.pos)
-        return left
+            left = ast.Binary(op, left, right, op_tok.pos)
 
     def _parse_unary(self) -> ast.Expr:
         minus_tok = self._match(TokenKind.MINUS)
         if minus_tok is not None:
+            self._enter(minus_tok)
             operand = self._parse_unary()
+            self._leave()
             return ast.Unary("-", operand, minus_tok.pos)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
-        if token.kind is TokenKind.INT:
-            self._advance()
-            return ast.IntLit(int(token.value), token.pos)
-        if token.kind is TokenKind.FLOAT:
-            self._advance()
-            return ast.FloatLit(float(token.value), token.pos)
         if token.kind is TokenKind.IDENT:
-            self._advance()
+            self._index += 1
             if self._check(TokenKind.LPAREN):
                 raise ParseError(
                     "call expressions may only appear as the entire right-hand "
@@ -339,15 +378,24 @@ class Parser:
                     token.pos,
                 )
             if self._check(TokenKind.LBRACKET):
-                self._advance()
+                self._enter(self._advance())
                 index = self._parse_expression()
                 self._expect(TokenKind.RBRACKET, "to close array subscript")
+                self._leave()
                 return ast.Index(str(token.value), index, token.pos)
             return ast.Var(str(token.value), token.pos)
+        if token.kind is TokenKind.INT:
+            self._index += 1
+            return ast.IntLit(token.value, token.pos)
+        if token.kind is TokenKind.FLOAT:
+            self._index += 1
+            return ast.FloatLit(token.value, token.pos)
         if token.kind is TokenKind.LPAREN:
+            self._enter(token)
             self._advance()
             expr = self._parse_expression()
             self._expect(TokenKind.RPAREN, "to close parenthesized expression")
+            self._leave()
             return expr
         raise ParseError(f"expected an expression, found {token.kind.value!r}", token.pos)
 
@@ -408,7 +456,7 @@ class IncrementalParser:
     def parse(self, source: str) -> ast.Program:
         try:
             split = self._parse_segments(source)
-        except (FrontendError, ValueError, RecursionError):
+        except FrontendError:
             # The full parse below raises the error the whole text has.
             split = None
         if split is None:

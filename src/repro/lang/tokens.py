@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from repro.errors import SourcePos
 
@@ -85,8 +84,7 @@ ARITHMETIC_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexed token.
 
     ``value`` holds the parsed payload: an ``int`` for INT tokens, a ``float``

@@ -21,10 +21,16 @@ from repro.lang.pretty import pretty_program
 
 
 def dump(node):
-    """A nested tuple of every field of ``node``, positions included."""
+    """A nested tuple of every field of ``node``, positions included.
+
+    A ``SourcePos`` is a named tuple and so equal to a plain tuple; its
+    dump carries the type name, so that a position only matches a
+    position."""
     if isinstance(node, list):
         return [dump(item) for item in node]
-    if dataclasses.is_dataclass(node) and not isinstance(node, SourcePos):
+    if isinstance(node, SourcePos):
+        return ("SourcePos", node.line, node.column)
+    if dataclasses.is_dataclass(node):
         return (type(node).__name__,) + tuple(
             dump(getattr(node, f.name)) for f in dataclasses.fields(node)
         )
@@ -225,3 +231,8 @@ class TestReuse:
 def test_lexer_start_position():
     tokens = tokenize("a\n  b", SourcePos(7, 3))
     assert [(t.pos.line, t.pos.column) for t in tokens] == [(7, 3), (8, 3), (8, 4)]
+
+
+def test_dump_tells_positions_from_tuples():
+    assert dump(SourcePos(2, 5)) != dump((2, 5))
+    assert dump([SourcePos(2, 5)]) == [("SourcePos", 2, 5)]

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import LexError
-from repro.lang.lexer import tokenize
-from repro.lang.tokens import TokenKind
+from repro.errors import LexError, SourcePos
+from repro.lang.lexer import MAX_INT_DIGITS, Lexer, scan_comments, tokenize
+from repro.lang.tokens import Token, TokenKind
 
 
 def kinds(source):
@@ -158,3 +158,78 @@ class TestNumericEdgeCases:
         assert tokenize("123456789012345678901234567890")[0].value == (
             123456789012345678901234567890
         )
+
+
+class TestAsciiOnly:
+    """Identifiers and digits are ASCII; nothing else outside a comment
+    lexes, and the lexer raises only ``LexError``."""
+
+    def test_superscript_digit_is_a_lex_error(self):
+        with pytest.raises(LexError, match="unexpected character '\u00b2'") as info:
+            tokenize("proc main() { x = \u00b2; print(x); }")
+        assert info.value.pos == SourcePos(1, 19)
+
+    def test_superscript_after_digits(self):
+        with pytest.raises(LexError) as info:
+            tokenize("x = 1\u00b2;")
+        assert info.value.pos == SourcePos(1, 6)
+
+    def test_unicode_digit_is_a_lex_error(self):
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize("x = \u0663;")
+
+    def test_non_ascii_letter_ends_an_identifier(self):
+        with pytest.raises(LexError, match="unexpected character '\u00e9'") as info:
+            tokenize("\n  caf\u00e9 = 1;")
+        assert info.value.pos == SourcePos(2, 6)
+
+    def test_non_ascii_in_comment_is_fine(self):
+        comments = []
+        tokens = tokenize("x = 1; # \u00b2 caf\u00e9\n", comments=comments)
+        assert [t.kind for t in tokens][-1] is TokenKind.EOF
+        assert comments == [(1, " \u00b2 caf\u00e9")]
+
+    def test_scan_comments_survives_non_ascii(self):
+        source = "# noqa: ICP003\nproc main() { x = \u00b2; }\n# after\n"
+        assert scan_comments(source) == [(1, " noqa: ICP003")]
+
+
+class TestIntegerCap:
+    def test_longest_integer_lexes(self):
+        token = tokenize("9" * MAX_INT_DIGITS)[0]
+        assert token.kind is TokenKind.INT
+        assert token.value == int("9" * MAX_INT_DIGITS)
+
+    def test_longer_integer_is_a_lex_error(self):
+        source = "proc main() {\n  x = " + "7" * (MAX_INT_DIGITS + 1) + ";\n}"
+        with pytest.raises(LexError, match="longer than 4300 digits") as info:
+            tokenize(source)
+        assert info.value.pos == SourcePos(2, 7)
+
+    def test_long_float_is_not_capped(self):
+        assert tokenize("1" * 5000 + ".5")[0].kind is TokenKind.FLOAT
+
+
+class TestRecords:
+    """``Token`` and ``SourcePos`` are named tuples with the old surface."""
+
+    def test_source_pos(self):
+        pos = SourcePos(3, 7)
+        assert (pos.line, pos.column) == (3, 7)
+        assert str(pos) == "3:7"
+        assert repr(pos) == "SourcePos(line=3, column=7)"
+        assert pos == (3, 7) and hash(pos) == hash((3, 7))
+
+    def test_token(self):
+        token = tokenize("  ab")[0]
+        assert token == Token(TokenKind.IDENT, "ab", SourcePos(1, 3))
+        assert str(token) == "IDENT('ab')@1:3"
+        assert repr(token) == (
+            "Token(kind=<TokenKind.IDENT: 'ident'>, value='ab', "
+            "pos=SourcePos(line=1, column=3))"
+        )
+
+    def test_lexer_object_collects_comments(self):
+        lexer = Lexer("# one\nx = 1; # two\n", SourcePos(5, 1))
+        assert [t.kind for t in lexer.tokens()][:2] == [TokenKind.IDENT, TokenKind.ASSIGN]
+        assert lexer.comments == [(5, " one"), (6, " two")]

@@ -2,7 +2,9 @@
 
 import json
 import os
+import re
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -162,6 +164,25 @@ class TestRouting:
             == 400
         )
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "proc main() { x = \u00b2; print(x); }",
+            "proc main() { x = " + "(" * 65 + "1" + ")" * 65 + "; print(x); }",
+            "proc main() { x = " + "(" * 3000 + "1" + ")" * 3000 + "; }",
+            "proc main() { x = " + "7" * 4301 + "; print(x); }",
+        ],
+    )
+    def test_hostile_sources_are_400_with_a_position(self, server, source):
+        status, payload, _ = server.dispatch("POST", "/programs/p", {"source": source})
+        assert status == 400 and re.search(r" at \d+:\d+$", payload["error"]), payload
+        assert server.dispatch("POST", "/programs/q", {"source": SOURCE})[0] == 200
+        status, payload, _ = server.dispatch(
+            "POST", "/programs/q/edits", {"source": source}
+        )
+        assert status == 400 and re.search(r" at \d+:\d+$", payload["error"]), payload
+        assert server.dispatch("GET", "/healthz")[0] == 200
+
 
 class TestBackpressure:
     def test_full_queue_rejects_with_retry_after(self, server):
@@ -189,15 +210,21 @@ class TestBackpressure:
             gate = threading.Event()
             statuses = []
             lock = threading.Lock()
-
-            original = srv._handle_report
-
-            def slow_report(program_id, deadline):
-                gate.wait(5)
-                return original(program_id, deadline)
-
-            srv._handle_report = slow_report
             srv.dispatch("POST", "/programs/p1", {"source": SOURCE})
+
+            # The gate sits inside the admitted job, so the two admitted
+            # requests hold both slots until it opens, and every other
+            # request of the flood meets a full queue.
+            original = srv._execute
+
+            def slow_execute(job, timeout):
+                def slow_job():
+                    gate.wait(5)
+                    return job()
+
+                return original(slow_job, timeout)
+
+            srv._execute = slow_execute
 
             def fire():
                 status, _, _ = srv.dispatch("GET", "/programs/p1/report")
@@ -207,11 +234,17 @@ class TestBackpressure:
             threads = [threading.Thread(target=fire) for _ in range(6)]
             for thread in threads:
                 thread.start()
+            for _ in range(1000):
+                with lock:
+                    if len(statuses) >= 4:
+                        break
+                time.sleep(0.005)
             gate.set()
             for thread in threads:
                 thread.join(10)
-            assert statuses.count(503) >= 1
-            assert statuses.count(200) >= 1
+                assert not thread.is_alive()
+            assert statuses.count(503) == 4
+            assert statuses.count(200) == 2
         finally:
             gate.set()
             srv.close()
