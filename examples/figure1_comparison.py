@@ -15,8 +15,8 @@ reproducing the table in the paper's introduction:
 Run:  python examples/figure1_comparison.py
 """
 
+from repro.api import analyze
 from repro.bench.programs import figure1_program, figure1_source
-from repro.core.driver import analyze_program
 from repro.core.jump_functions import JumpFunctionKind, jump_function_icp
 
 PAPER = {
@@ -32,7 +32,7 @@ PAPER = {
 def main() -> None:
     print(figure1_source())
     program = figure1_program()
-    result = analyze_program(program)
+    result = analyze(program)
 
     found = {
         "FLOW-SENSITIVE": {f for _, f in result.fs.constant_formals()},

@@ -11,14 +11,14 @@ recursion survive while the varying induction parameter is correctly lowered.
 Run:  python examples/recursion_backedges.py
 """
 
+from repro.api import analyze
 from repro.bench.programs import mutual_recursion_program, recursion_program
-from repro.core.driver import analyze_program
 from repro.interp import Recorder, run_program
 from repro.lang.parser import parse_program
 
 
 def report(title: str, program) -> None:
-    result = analyze_program(program)
+    result = analyze(program)
     print(f"== {title} ==")
     print(f"  PCG edges: {len(result.pcg.edges)}, "
           f"back edges: {len(result.pcg.back_edges)}, "

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
+from repro.analysis.scc import SCCEngine
 from repro.analysis.transform import TransformResult, transform_program
 from repro.callgraph.pcg import PCG, build_pcg
 from repro.core.config import ICPConfig
@@ -141,9 +142,8 @@ class CompilationPipeline:
             self.config, obs=self.obs
         )
         #: The pipeline-owned intraprocedural engine, shared by every
-        #: :meth:`run`.  The flat backend keeps its lowered skeletons on the
-        #: engine, so a warm rerun (or the FI return fixpoint) skips
-        #: CFG/SSA construction for unchanged procedures.
+        #: :meth:`run`.  The engine keeps each procedure's CFG/SSA lowering,
+        #: so a warm rerun of the same AST skips rebuilding them.
         self.engine = make_engine(self.config)
 
     def run(
@@ -310,6 +310,9 @@ class CompilationPipeline:
             proc: fs.entry_env(proc, symbols[proc])
             for proc in fs.intra
         }
+        # The transformation re-solves every procedure with the SCC engine;
+        # the pipeline's own one already holds their lowerings.
+        engine = self.engine if isinstance(self.engine, SCCEngine) else None
         return transform_program(
             program,
             symbols,
@@ -317,6 +320,7 @@ class CompilationPipeline:
             effects,
             prune_dead_branches=self.config.prune_dead_branches,
             insert_entry_assignments=self.config.insert_entry_assignments,
+            engine=engine,
         )
 
 
@@ -330,19 +334,3 @@ def analyze(
     return CompilationPipeline(config, obs=obs).run(
         source, run_transform=run_transform
     )
-
-
-def __getattr__(name: str):
-    # PEP 562 shim: the historical name keeps working when imported from
-    # this module directly, but steers callers to the stable facade.
-    if name == "analyze_program":
-        import warnings
-
-        warnings.warn(
-            "importing analyze_program from repro.core.driver is deprecated; "
-            "use `from repro.api import analyze` instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return analyze
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

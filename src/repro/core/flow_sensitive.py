@@ -122,7 +122,7 @@ class FSReuse:
 def make_engine(config: ICPConfig) -> IntraEngine:
     """Instantiate the configured intraprocedural engine."""
     if config.engine == "scc":
-        return SCCEngine(backend=config.engine_backend)
+        return SCCEngine()
     if config.engine == "simple":
         return SimpleEngine()
     raise ValueError(f"unknown intraprocedural engine {config.engine!r}")
@@ -265,8 +265,7 @@ def _scheduled_forward(
     analyzed: Set[str] = set()
     clean: FrozenSet[str] = reuse.clean if reuse is not None else frozenset()
     config_fp = config_fingerprint(
-        config.engine, config.propagate_floats, program.global_names, "fs",
-        config.engine_backend,
+        config.engine, config.propagate_floats, program.global_names, "fs"
     )
     seconds_before = scheduler.stats.analysis_seconds
 
@@ -302,7 +301,6 @@ def _scheduled_forward(
                     entry_env=entry_env,
                     effects=effects,
                     engine=config.engine,
-                    engine_backend=config.engine_backend,
                     pass_label="fs",
                     fingerprints=fingerprints,
                 )

@@ -246,8 +246,7 @@ def _scheduled_reverse(
     wavefront = scheduler.wavefront(pcg)
     pass_label = "returns-exit" if with_exit_values else "returns"
     config_fp = config_fingerprint(
-        config.engine, config.propagate_floats, program.global_names,
-        pass_label, config.engine_backend,
+        config.engine, config.propagate_floats, program.global_names, pass_label
     )
     globals_set = frozenset(program.global_names)
     fs_table: Dict[str, LatticeValue] = {}
@@ -310,7 +309,6 @@ def _scheduled_reverse(
                     entry_env=entry_env,
                     effects=effects,
                     engine=config.engine,
-                    engine_backend=config.engine_backend,
                     pass_label=pass_label,
                     record_exit_vars=record_exit_vars,
                     fingerprints=fingerprints,

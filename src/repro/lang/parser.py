@@ -10,7 +10,8 @@ is a parse error), matching Fortran relational expressions.
 
 Blocks, ``if``/``while`` bodies, parentheses, subscripts, unary ``-`` and
 ``not`` nest at most :data:`MAX_NESTING` levels deep (a procedure body is
-level 0); deeper input raises :class:`ParseError` at the opening token
+level 0), and an expression tree is at most :data:`MAX_EXPR_DEPTH` levels
+deep; deeper input raises :class:`ParseError` at the offending token
 instead of exhausting the interpreter's stack here or in a later AST walk.
 """
 
@@ -36,6 +37,13 @@ _MULTIPLICATIVE_OPS = {"*": "*", "/": "/", "%": "%"}
 #: unary operators.
 MAX_NESTING = 64
 
+#: Deepest accepted expression tree.  A literal or variable is level 1;
+#: every binary or unary operator, subscript and pair of parentheses is
+#: one level above its deepest operand.  The parser loops over a binary
+#: chain such as ``1 + 1 + ...``, but the left-deep tree it builds is
+#: walked recursively by every later pass.
+MAX_EXPR_DEPTH = 256
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.lang.ast.Program`."""
@@ -44,6 +52,8 @@ class Parser:
         self._tokens = tokens
         self._index = 0
         self._depth = 0
+        #: Tree depth of the expression most recently parsed.
+        self._expr_depth = 0
 
     # ------------------------------------------------------------------
     # Token stream helpers.  The list always ends with EOF and the index
@@ -89,6 +99,16 @@ class Parser:
 
     def _leave(self) -> None:
         self._depth -= 1
+
+    def _deepen(self, left_depth: int, token: Token) -> None:
+        """The node just built on ``token`` sits one level above its deeper
+        operand: ``left_depth`` or the expression parsed last."""
+        depth = max(left_depth, self._expr_depth) + 1
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(
+                f"expression deeper than {MAX_EXPR_DEPTH} levels", token.pos
+            )
+        self._expr_depth = depth
 
     # ------------------------------------------------------------------
     # Top level.
@@ -302,8 +322,10 @@ class Parser:
             op_tok = self._match(TokenKind.OR)
             if op_tok is None:
                 return left
+            depth = self._expr_depth
             right = self._parse_and()
             left = ast.Binary("or", left, right, op_tok.pos)
+            self._deepen(depth, op_tok)
 
     def _parse_and(self) -> ast.Expr:
         left = self._parse_not()
@@ -311,8 +333,10 @@ class Parser:
             op_tok = self._match(TokenKind.AND)
             if op_tok is None:
                 return left
+            depth = self._expr_depth
             right = self._parse_not()
             left = ast.Binary("and", left, right, op_tok.pos)
+            self._deepen(depth, op_tok)
 
     def _parse_not(self) -> ast.Expr:
         not_tok = self._match(TokenKind.NOT)
@@ -320,6 +344,7 @@ class Parser:
             self._enter(not_tok)
             operand = self._parse_not()
             self._leave()
+            self._deepen(0, not_tok)
             return ast.Unary("not", operand, not_tok.pos)
         return self._parse_comparison()
 
@@ -330,10 +355,12 @@ class Parser:
         if op is None:
             return left
         self._index += 1
+        depth = self._expr_depth
         right = self._parse_additive()
         token = self._tokens[self._index]
         if token.value in _COMPARISON_OPS:
             raise ParseError("comparisons do not chain", token.pos)
+        self._deepen(depth, op_tok)
         return ast.Binary(op, left, right, op_tok.pos)
 
     def _parse_additive(self) -> ast.Expr:
@@ -344,8 +371,10 @@ class Parser:
             if op is None:
                 return left
             self._index += 1
+            depth = self._expr_depth
             right = self._parse_multiplicative()
             left = ast.Binary(op, left, right, op_tok.pos)
+            self._deepen(depth, op_tok)
 
     def _parse_multiplicative(self) -> ast.Expr:
         left = self._parse_unary()
@@ -355,8 +384,10 @@ class Parser:
             if op is None:
                 return left
             self._index += 1
+            depth = self._expr_depth
             right = self._parse_unary()
             left = ast.Binary(op, left, right, op_tok.pos)
+            self._deepen(depth, op_tok)
 
     def _parse_unary(self) -> ast.Expr:
         minus_tok = self._match(TokenKind.MINUS)
@@ -364,6 +395,7 @@ class Parser:
             self._enter(minus_tok)
             operand = self._parse_unary()
             self._leave()
+            self._deepen(0, minus_tok)
             return ast.Unary("-", operand, minus_tok.pos)
         return self._parse_primary()
 
@@ -378,17 +410,22 @@ class Parser:
                     token.pos,
                 )
             if self._check(TokenKind.LBRACKET):
-                self._enter(self._advance())
+                bracket = self._advance()
+                self._enter(bracket)
                 index = self._parse_expression()
                 self._expect(TokenKind.RBRACKET, "to close array subscript")
                 self._leave()
+                self._deepen(0, bracket)
                 return ast.Index(str(token.value), index, token.pos)
+            self._expr_depth = 1
             return ast.Var(str(token.value), token.pos)
         if token.kind is TokenKind.INT:
             self._index += 1
+            self._expr_depth = 1
             return ast.IntLit(token.value, token.pos)
         if token.kind is TokenKind.FLOAT:
             self._index += 1
+            self._expr_depth = 1
             return ast.FloatLit(token.value, token.pos)
         if token.kind is TokenKind.LPAREN:
             self._enter(token)
@@ -396,6 +433,7 @@ class Parser:
             expr = self._parse_expression()
             self._expect(TokenKind.RPAREN, "to close parenthesized expression")
             self._leave()
+            self._deepen(0, token)
             return expr
         raise ParseError(f"expected an expression, found {token.kind.value!r}", token.pos)
 

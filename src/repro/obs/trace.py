@@ -315,7 +315,7 @@ NULL_TRACER = Tracer(enabled=False)
 # ----------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")
-_KNOWN_PHASES = {"B", "E", "X", "i", "M"}
+_KNOWN_EVENT_PH = {"B", "E", "X", "i", "M"}
 
 
 def validate_chrome_trace(data: Any) -> List[str]:
@@ -347,7 +347,7 @@ def validate_chrome_trace(data: Any) -> List[str]:
             problems.append(f"event #{index} missing keys: {missing}")
             continue
         phase = event["ph"]
-        if phase not in _KNOWN_PHASES:
+        if phase not in _KNOWN_EVENT_PH:
             problems.append(f"event #{index} has unknown phase {phase!r}")
             continue
         ts = event["ts"]

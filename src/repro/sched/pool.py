@@ -50,11 +50,11 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _make_intra_engine(name: str, backend: str = "graph") -> IntraEngine:
+def _make_intra_engine(name: str) -> IntraEngine:
     # Mirrors core.flow_sensitive.make_engine without importing repro.core
     # (sched sits below core in the layering).
     if name == "scc":
-        return SCCEngine(backend=backend)
+        return SCCEngine()
     if name == "simple":
         return SimpleEngine()
     raise ValueError(f"unknown intraprocedural engine {name!r}")
@@ -67,7 +67,7 @@ def run_analysis_task(task):
     :class:`IntraResult` plus the seconds spent in the engine, which the
     scheduler accumulates into the pipeline's intra-analysis time.
     """
-    engine = _make_intra_engine(task.engine, getattr(task, "engine_backend", "graph"))
+    engine = _make_intra_engine(task.engine)
     record = set(task.record_exit_vars) if task.record_exit_vars is not None else None
     started = time.perf_counter()
     intra = engine.analyze(

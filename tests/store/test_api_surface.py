@@ -1,12 +1,8 @@
-"""The redesigned store API surface: facade helpers, shims, config keys."""
-
-import importlib
-import warnings
+"""The redesigned store API surface: facade helpers and config keys."""
 
 import pytest
 
 import repro
-import repro.store.persist
 from repro.api import ICPConfig, connect_store, open_store
 from repro.sched.cache import SummaryCache
 from repro.store import PersistentCache, RemoteStore
@@ -55,28 +51,29 @@ class TestConnectStore:
             assert hasattr(repro, name), name
 
 
-class TestPersistShim:
-    def test_moved_import_warns_once_then_caches(self):
-        module = importlib.reload(repro.store.persist)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = module.PersistentCache
-            second = module.PersistentCache
-        assert first is second is PersistentCache
-        moved = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(moved) == 1
-        assert "repro.store.tiered" in str(moved[0].message)
+class TestPersistRemoved:
+    def test_old_module_is_gone(self):
+        with pytest.raises(ImportError):
+            import repro.store.persist  # noqa: F401
+        from repro.store.tiered import PersistentCache as moved
 
-    def test_unknown_name_still_raises(self):
-        module = importlib.reload(repro.store.persist)
+        assert moved is PersistentCache
+
+    def test_unknown_store_name_raises(self):
+        import repro.store
+
         with pytest.raises(AttributeError):
-            module.no_such_thing
+            repro.store.no_such_thing
+        with pytest.raises(ImportError):
+            from repro.store import persist  # noqa: F401
 
-    def test_dir_lists_moved_names(self):
-        module = importlib.reload(repro.store.persist)
-        assert "PersistentCache" in dir(module)
+    def test_dir_lists_moved_names_at_new_home(self):
+        import repro.store
+        import repro.store.tiered
+
+        assert "PersistentCache" in dir(repro.store.tiered)
+        assert "PersistentCache" in repro.store.__all__
+        assert "persist" not in dir(repro.store)
 
 
 class TestConfigKeys:
